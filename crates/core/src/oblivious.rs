@@ -4,7 +4,7 @@
 //! guess lattice. This variant estimates the relevant scale range *of the
 //! current window* on the fly, maintaining guesses only inside it
 //! (cf. the techniques of Pellizzoni et al. \[8\] adopted by the paper;
-//! DESIGN.md §4 documents our estimator):
+//! [`fairsw_stream::diameter`] documents our estimator):
 //!
 //! * the **upper** cutoff comes from a sliding-window diameter estimator
 //!   (rotating anchors, lattice-quantized windowed maxima): guesses above

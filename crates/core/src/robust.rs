@@ -24,8 +24,7 @@
 //! outliers are clustered together. For isolated outliers (the regime the
 //! robust k-center literature targets, and what the tests plant) each
 //! outlier is its own c-attractor and representative, and the accounting
-//! is exact. A weighted-coreset refinement is the natural next step and
-//! is listed in DESIGN.md.
+//! is exact. A weighted-coreset refinement is the natural next step.
 
 use crate::algorithm::QueryScratch;
 use crate::api::{MemoryStats, QueryError, SlidingWindowClustering, Solution, SolutionExtras};

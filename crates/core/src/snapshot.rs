@@ -31,7 +31,7 @@
 //! serde-derived: the state contains `Arc<[f64]>` payloads and
 //! `BTreeMap`/`VecDeque` families whose derived encodings would be both
 //! larger and slower, and the workspace keeps its dependency surface
-//! minimal (DESIGN.md §6).
+//! minimal (the README's Layout lists the two vendored stand-ins).
 //!
 //! ## Format v2: snapshots go through the arena
 //!

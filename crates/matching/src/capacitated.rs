@@ -43,51 +43,20 @@ pub fn max_capacitated_matching(caps: &[usize], adj: &[Vec<usize>]) -> Capacitat
     // occupants[c] = left nodes currently assigned to color c.
     let mut occupants: Vec<Vec<usize>> = vec![Vec::new(); n_colors];
     let mut assigned: Vec<Option<usize>> = vec![None; n_left];
+    let mut visited = vec![false; n_colors];
 
-    // Depth-first augmentation. `visited` marks colors explored in the
-    // current attempt. Returns true if `u` got (re)assigned.
-    fn try_assign(
-        u: usize,
-        adj: &[Vec<usize>],
-        caps: &[usize],
-        occupants: &mut [Vec<usize>],
-        assigned: &mut [Option<usize>],
-        visited: &mut [bool],
-    ) -> bool {
-        for &c in &adj[u] {
-            if visited[c] {
-                continue;
-            }
-            visited[c] = true;
-            if occupants[c].len() < caps[c] {
-                occupants[c].push(u);
-                assigned[u] = Some(c);
-                return true;
-            }
-            // Color full: try to relocate one of its occupants.
-            for slot in 0..occupants[c].len() {
-                let w = occupants[c][slot];
-                if try_assign(w, adj, caps, occupants, assigned, visited) {
-                    // w moved elsewhere (try_assign pushed w onto its new
-                    // color); remove w's stale slot here and take it.
-                    let pos = occupants[c]
-                        .iter()
-                        .position(|&x| x == w)
-                        .expect("stale occupant present");
-                    occupants[c].swap_remove(pos);
-                    occupants[c].push(u);
-                    assigned[u] = Some(c);
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
+    let neighbors = |w: usize| adj[w].iter().copied();
     let mut size = 0usize;
     for u in 0..n_left {
-        let mut visited = vec![false; n_colors];
-        if try_assign(u, adj, caps, &mut occupants, &mut assigned, &mut visited) {
+        visited.fill(false);
+        if augment(
+            u,
+            &neighbors,
+            caps,
+            &mut occupants,
+            &mut assigned,
+            &mut visited,
+        ) {
             size += 1;
         }
     }
@@ -98,6 +67,57 @@ pub fn max_capacitated_matching(caps: &[usize], adj: &[Vec<usize>]) -> Capacitat
         load,
         size,
     }
+}
+
+/// Depth-first search for an augmenting path from left node `u`, which
+/// is either unassigned or being relocated. `neighbors(w)` lists the
+/// colors left node `w` may use, in the order they are tried; `visited`
+/// marks colors already explored in the current search and must be
+/// cleared by the caller before each new search from an unassigned node.
+///
+/// Returns true if `u` got (re)assigned. State changes only along a
+/// successful path: when no augmenting path exists, `occupants` and
+/// `assigned` are left exactly as they were.
+pub(crate) fn augment<N, I>(
+    u: usize,
+    neighbors: &N,
+    caps: &[usize],
+    occupants: &mut [Vec<usize>],
+    assigned: &mut [Option<usize>],
+    visited: &mut [bool],
+) -> bool
+where
+    N: Fn(usize) -> I,
+    I: Iterator<Item = usize>,
+{
+    for c in neighbors(u) {
+        if visited[c] {
+            continue;
+        }
+        visited[c] = true;
+        if occupants[c].len() < caps[c] {
+            occupants[c].push(u);
+            assigned[u] = Some(c);
+            return true;
+        }
+        // Color full: try to relocate one of its occupants.
+        for slot in 0..occupants[c].len() {
+            let w = occupants[c][slot];
+            if augment(w, neighbors, caps, occupants, assigned, visited) {
+                // w moved elsewhere (augment pushed w onto its new
+                // color); remove w's stale slot here and take it.
+                let pos = occupants[c]
+                    .iter()
+                    .position(|&x| x == w)
+                    .expect("stale occupant present");
+                occupants[c].swap_remove(pos);
+                occupants[c].push(u);
+                assigned[u] = Some(c);
+                return true;
+            }
+        }
+    }
+    false
 }
 
 #[cfg(test)]

@@ -13,12 +13,17 @@
 //! This crate implements [`hopcroft_karp`] (maximum-cardinality matching
 //! in `O(E√V)`) for one-to-one instances, and [`capacitated`] matching
 //! (left nodes to colored slots with per-color capacities) which is the
-//! form the solvers actually consume. A brute-force reference
-//! implementation backs the property tests.
+//! form the solvers actually consume. The Jones and robust fair solvers
+//! search for the smallest distance threshold at which such a matching
+//! is perfect; [`threshold`] answers that incrementally, one augmenting
+//! path per added node. A brute-force reference implementation backs
+//! the property tests.
 
 pub mod brute;
 pub mod capacitated;
 pub mod hopcroft_karp;
+pub mod threshold;
 
 pub use capacitated::{max_capacitated_matching, CapacitatedMatching};
 pub use hopcroft_karp::{max_bipartite_matching, BipartiteMatching};
+pub use threshold::ThresholdMatcher;

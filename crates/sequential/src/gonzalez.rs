@@ -57,6 +57,20 @@ pub fn gonzalez_view<M: Metric>(
     view: &CoresetView<M::Point>,
     k: usize,
 ) -> GonzalezResult {
+    gonzalez_view_rows(metric, view, k, |_| {})
+}
+
+/// [`gonzalez_view`] that also hands each round's kernel row to
+/// `on_row(row)`, where `row[i]` is the distance from that round's pivot
+/// to point `i`. Callers that need per-pivot distances (Jones's
+/// nearest-witness table) read them here instead of repeating the
+/// kernel pass.
+pub(crate) fn gonzalez_view_rows<M: Metric>(
+    metric: &M,
+    view: &CoresetView<M::Point>,
+    k: usize,
+    mut on_row: impl FnMut(&[f64]),
+) -> GonzalezResult {
     if view.is_empty() || k == 0 {
         return GonzalezResult {
             pivots: Vec::new(),
@@ -78,6 +92,7 @@ pub fn gonzalez_view<M: Metric>(
     for round in 0..kk {
         pivots.push(next);
         metric.dist_one_to_many(view.point(next), view, &mut dbuf);
+        on_row(&dbuf);
         let mut far_idx = 0usize;
         let mut far_d: f64 = -1.0;
         for i in 0..n {

@@ -5,14 +5,21 @@
 //!
 //! 1. Run Gonzalez for `k` pivots, recording the coverage radius of every
 //!    prefix `P_j` (`coverage[j-1]` = clustering radius of `P_j`).
-//! 2. Precompute `mind[p][i]` = distance from pivot `p` to the nearest
-//!    point of color `i` (`O(nk)` total).
-//! 3. For each prefix length `j`, binary-search the smallest threshold `τ`
-//!    (over the candidate values `mind[p][i]`, `p < j`) such that the
-//!    capacitated matching "pivot `p` may take color `i` iff
-//!    `mind[p][i] ≤ τ`" assigns a color to *every* pivot of `P_j`.
-//!    Replacing each pivot by its matched witness point yields a fair
-//!    solution of radius at most `coverage[j-1] + τ(j)`.
+//! 2. From the same kernel row that placed each pivot `p`, record
+//!    `mind[p][i]` = distance from `p` to the nearest point of color `i`
+//!    (`O(nk)` total, one distance pass per pivot).
+//! 3. Sweep the prefixes `j = 1, 2, …` with one threshold matcher. Let
+//!    `τ(j)` be the smallest threshold (over the candidate values
+//!    `mind[p][i]`, `p < j`) at which the capacitated matching "pivot `p`
+//!    may take color `i` iff `mind[p][i] ≤ τ`" assigns a color to *every*
+//!    pivot of `P_j`. A perfect matching of `P_j` restricts to one of
+//!    `P_{j-1}`, so `τ(j) ≥ τ(j-1)`: prefix `j` keeps the matching of
+//!    prefix `j-1` and adds pivot `j-1` by one augmenting path, raising
+//!    `τ` through the sorted candidates until a path exists. The first
+//!    prefix with no perfect matching at any candidate ends the sweep,
+//!    since every longer prefix fails too. Replacing each pivot of `P_j`
+//!    by its matched witness point yields a fair solution of radius at
+//!    most `coverage[j-1] + τ(j)`.
 //! 4. Return the candidate with the best bound (we additionally evaluate
 //!    its true radius over the instance, which can only be smaller).
 //!
@@ -25,8 +32,9 @@
 //! `coverage[j*-1] ≤ 2r*`. The returned minimum is therefore at most
 //! `coverage + τ ≤ 3r*`.
 
-use crate::{gonzalez_view, validate, FairCenterSolver, FairSolution, Instance, SolveError};
-use fairsw_matching::max_capacitated_matching;
+use crate::gonzalez::gonzalez_view_rows;
+use crate::{validate, FairCenterSolver, FairSolution, Instance, SolveError};
+use fairsw_matching::{max_capacitated_matching, ThresholdMatcher};
 use fairsw_metric::{Colored, CoresetView, Metric};
 
 /// The Jones fair-center solver (α = 3). Stateless; construct freely.
@@ -63,102 +71,57 @@ impl Jones {
             colors.iter().all(|&c| (c as usize) < ncolors),
             "point color out of range"
         );
-        let g = gonzalez_view(metric, view, k);
+
+        // mind[p * ncolors + i] = distance from pivot p to the nearest
+        // point of color i (+∞ when absent) and witness[..] = that
+        // point's index, flattened row-major. Filled from the Gonzalez
+        // round's own kernel row, so each pivot costs one distance pass;
+        // the per-color argmin keeps the ascending-index tie-break.
+        let mut mind: Vec<f64> = Vec::new();
+        let mut witness: Vec<usize> = Vec::new();
+        let g = gonzalez_view_rows(metric, view, k, |row| {
+            let base = mind.len();
+            mind.resize(base + ncolors, f64::INFINITY);
+            witness.resize(base + ncolors, usize::MAX);
+            for (qi, (&d, &color)) in row.iter().zip(colors).enumerate() {
+                let slot = base + color as usize;
+                if d < mind[slot] {
+                    mind[slot] = d;
+                    witness[slot] = qi;
+                }
+            }
+        });
         let npiv = g.pivots.len();
 
-        // mind[p * ncolors + i] = (distance, witness index) of the
-        // nearest point of color i to pivot p, flattened row-major into a
-        // single allocation. One kernel call per pivot replaces the
-        // pointwise O(nk) scan; the per-color argmin keeps the same
-        // ascending-index tie-break.
-        let mut mind = vec![(f64::INFINITY, usize::MAX); npiv * ncolors];
-        let mut dbuf = vec![0.0f64; view.len()];
-        let mut mind_buf: Vec<f64> = Vec::new();
-        for (pi, &pividx) in g.pivots.iter().enumerate() {
-            metric.dist_one_to_many(view.point(pividx), view, &mut dbuf);
-            let row = &mut mind[pi * ncolors..(pi + 1) * ncolors];
-            for (qi, &color) in colors.iter().enumerate() {
-                let d = dbuf[qi];
-                let slot = &mut row[color as usize];
-                if d < slot.0 {
-                    *slot = (d, qi);
-                }
-            }
-        }
-
         let mut best: Option<(f64, Vec<usize>)> = None; // (bound, witness indices)
-
-        // Buffers hoisted out of the prefix loop: `cands` accumulates the
-        // finite mind values seen so far (prefix j's candidate set is
-        // prefix j-1's plus row j-1, so extend-then-sort beats
-        // re-collecting), and `adj` keeps one reusable adjacency row per
-        // pivot so the feasibility probes inside the binary search
-        // allocate nothing in steady state.
-        let mut cands: Vec<f64> = Vec::new();
-        let mut adj: Vec<Vec<usize>> = Vec::new();
-        adj.resize_with(npiv, Vec::new);
-
+        let mut matcher = ThresholdMatcher::new(caps);
+        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); npiv];
+        // Gonzalez stops at k pivots, so no prefix exceeds the budget.
         for j in 1..=npiv {
-            if j > k {
+            let Some(tau) = matcher.push(&mind[(j - 1) * ncolors..j * ncolors]) else {
+                // Not even the largest candidate τ — that is, all of the
+                // prefix's finite edges — matches prefix j. A perfect
+                // matching of a longer prefix would restrict to one of
+                // prefix j, so every longer prefix fails too.
                 break;
-            }
-            // Candidate thresholds: the finite mind values of the prefix.
-            cands.extend(
-                mind[(j - 1) * ncolors..j * ncolors]
-                    .iter()
-                    .map(|&(d, _)| d)
-                    .filter(|d| d.is_finite()),
-            );
-            cands.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            cands.dedup();
-            if cands.is_empty() {
-                continue;
-            }
-
-            // Perfect matching is monotone in τ: binary search the
-            // smallest feasible candidate. Each probe refills the first j
-            // adjacency rows in place.
-            let mind = &mind;
-            let feasible = |tau: f64, adj: &mut Vec<Vec<usize>>| -> bool {
+            };
+            let bound = g.coverage[j - 1] + tau;
+            if best.as_ref().is_none_or(|(b, _)| bound < *b) {
+                // Materialize the witnesses only for an improving prefix,
+                // from a fresh matching at τ: its assignment, and so the
+                // choice among equally good witnesses, does not depend on
+                // the order in which the sweep grew its own matching.
                 for (p, row) in adj[..j].iter_mut().enumerate() {
                     row.clear();
-                    row.extend(
-                        mind[p * ncolors..(p + 1) * ncolors]
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, &(d, _))| d <= tau)
-                            .map(|(c, _)| c),
-                    );
+                    row.extend((0..ncolors).filter(|&c| mind[p * ncolors + c] <= tau));
                 }
-                max_capacitated_matching(caps, &adj[..j]).is_left_perfect()
-            };
-
-            if !feasible(*cands.last().expect("non-empty"), &mut adj) {
-                // Even the loosest threshold fails (some color classes
-                // absent): this prefix cannot be perfectly matched.
-                continue;
-            }
-            let (mut lo, mut hi) = (0usize, cands.len() - 1);
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if feasible(cands[mid], &mut adj) {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            let tau = cands[lo];
-            let cover = g.coverage[j - 1];
-            let bound = cover + tau;
-            if best.as_ref().is_none_or(|(b, _)| bound < *b) {
-                // Materialize the witnesses only for an improving prefix.
-                assert!(feasible(tau, &mut adj), "lo is feasible");
                 let m = max_capacitated_matching(caps, &adj[..j]);
+                assert!(m.is_left_perfect(), "the sweep matched prefix {j} at τ");
                 let witnesses: Vec<usize> = m
                     .assigned
                     .iter()
                     .enumerate()
-                    .map(|(p, a)| mind[p * ncolors + a.expect("perfect")].1)
+                    .map(|(p, a)| witness[p * ncolors + a.expect("perfect")])
                     .collect();
                 best = Some((bound, witnesses));
             }
@@ -176,15 +139,16 @@ impl Jones {
             .collect();
 
         // Radius over the already-staged view — no re-gather.
+        let (mut dbuf, mut min_dist) = (Vec::new(), Vec::new());
         crate::min_over_centers(
             metric,
             view,
             centers.iter().map(|c| &c.point),
             &mut dbuf,
-            &mut mind_buf,
+            &mut min_dist,
         );
         let mut radius: f64 = 0.0;
-        for &d in &mind_buf {
+        for &d in &min_dist {
             if d > radius {
                 radius = d;
             }
@@ -222,6 +186,9 @@ impl<M: Metric> FairCenterSolver<M> for Jones {
         self.solve_on_view(metric, &view, caps)
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -19,10 +19,12 @@
 //!   joint radius search is not — the color matching can fail on a band
 //!   of mid-range radii while succeeding below and above it):
 //!   1. heads and outliers come from `robust_kcenter` (sound by CKMN);
-//!   2. a second binary search finds the smallest threshold `τ` such
-//!      that heads admit a perfect capacitated color matching using
-//!      *inlier* witnesses within `τ` of each head — the adjacency grows
-//!      with `τ`, so perfect-matching feasibility is monotone;
+//!   2. a threshold sweep finds the smallest threshold `τ` such that
+//!      heads admit a perfect capacitated color matching using *inlier*
+//!      witnesses within `τ` of each head — the adjacency grows with
+//!      `τ`, so perfect-matching feasibility is monotone, and the
+//!      [`ThresholdMatcher`] adds the heads one augmenting path at a
+//!      time;
 //!   3. each head is replaced by its matched witness. Inliers covered
 //!      within `3r` of a head are then within `3r + τ` of a center.
 //!
@@ -30,11 +32,11 @@
 //! among the inliers), unmatched heads are dropped: the answer stays
 //! fair and feasible, with coverage degrading gracefully. Fairness is
 //! exact and at most `z` points are excluded; the radius guarantee is
-//! bicriteria in the spirit of Amagata (AISTATS 2024) — the
-//! exact-constant LP machinery is out of scope and flagged in DESIGN.md.
+//! bicriteria in the spirit of Amagata (AISTATS 2024); the
+//! exact-constant LP machinery is out of scope.
 
 use crate::{validate, FairCenterSolver, FairSolution, Instance, SolveError};
-use fairsw_matching::max_capacitated_matching;
+use fairsw_matching::{max_capacitated_matching, CapacitatedMatching, ThresholdMatcher};
 use fairsw_metric::{Colored, CoresetView, Metric};
 
 /// Result of a robust (outlier-tolerant) clustering call.
@@ -205,6 +207,37 @@ fn inlier_radius<M: Metric>(
     r
 }
 
+/// Stage 2's color matching of the heads, whose per-color witness
+/// distances are the rows of `mind` (`caps.len()` per head). It is
+/// taken at the smallest threshold `τ` at which every head is matched
+/// or, when no threshold matches them all (a color class is absent
+/// among the inliers), at the largest finite distance, leaving some
+/// heads unmatched.
+///
+/// The threshold matcher finds `τ` with one augmenting path per head
+/// and per raise of `τ`; the matching returned is a fresh one at `τ`, so
+/// which witness each head gets does not depend on the order in which
+/// the matcher grew its own.
+fn head_matching(caps: &[usize], mind: &[f64]) -> CapacitatedMatching {
+    let ncolors = caps.len();
+    let mut matcher = ThresholdMatcher::new(caps);
+    let perfect = mind.chunks(ncolors).all(|row| matcher.push(row).is_some());
+    let tau = match matcher.tau() {
+        Some(tau) if perfect => tau,
+        _ => mind
+            .iter()
+            .copied()
+            .filter(|d| d.is_finite())
+            .reduce(f64::max)
+            .unwrap_or(0.0),
+    };
+    let adj: Vec<Vec<usize>> = mind
+        .chunks(ncolors)
+        .map(|row| (0..ncolors).filter(|&c| row[c] <= tau).collect())
+        .collect();
+    max_capacitated_matching(caps, &adj)
+}
+
 /// Fair center with `z` outliers (robust heads + monotone color-matching
 /// threshold search).
 #[derive(Clone, Copy, Debug)]
@@ -267,7 +300,10 @@ impl RobustFair {
         // Stage 2: nearest *inlier* witness of each color per head —
         // one kernel call per head, outliers skipped in the merge, with
         // the scalar scan's ascending-index tie-break per (head, color).
-        let mut mind = vec![vec![(f64::INFINITY, usize::MAX); ncolors]; heads.len()];
+        // mind[h * ncolors + c] is that distance (+∞ when none) and
+        // witness[..] the point's index, flattened row-major.
+        let mut mind = vec![f64::INFINITY; heads.len() * ncolors];
+        let mut witness = vec![usize::MAX; heads.len() * ncolors];
         let mut dbuf = vec![0.0f64; view.len()];
         for (hi, &h) in heads.iter().enumerate() {
             inst.metric
@@ -277,63 +313,23 @@ impl RobustFair {
                     continue;
                 }
                 let d = dbuf[qi];
-                let slot = &mut mind[hi][q.color as usize];
-                if d < slot.0 {
-                    *slot = (d, qi);
+                let slot = hi * ncolors + q.color as usize;
+                if d < mind[slot] {
+                    mind[slot] = d;
+                    witness[slot] = qi;
                 }
             }
         }
 
-        // Candidate thresholds; perfect matching is monotone in τ.
-        let mut taus: Vec<f64> = mind
-            .iter()
-            .flat_map(|row| row.iter().map(|&(d, _)| d))
-            .filter(|d| d.is_finite())
-            .collect();
-        taus.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        taus.dedup();
-
-        let matching_at = |tau: f64| {
-            let adj: Vec<Vec<usize>> = mind
-                .iter()
-                .map(|row| {
-                    row.iter()
-                        .enumerate()
-                        .filter(|(_, &(d, _))| d <= tau)
-                        .map(|(c, _)| c)
-                        .collect()
-                })
-                .collect();
-            max_capacitated_matching(inst.caps, &adj)
-        };
-
-        let assignment = if taus.is_empty() {
-            None
-        } else if matching_at(*taus.last().expect("non-empty")).is_left_perfect() {
-            let (mut lo, mut hi) = (0usize, taus.len() - 1);
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if matching_at(taus[mid]).is_left_perfect() {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            Some(matching_at(taus[lo]))
-        } else {
-            None
-        };
-
         // Stage 3: replace heads by witnesses; drop unmatched heads when
         // no perfect matching exists at any threshold.
-        let matching =
-            assignment.unwrap_or_else(|| matching_at(taus.last().copied().unwrap_or(0.0)));
+        let matching = head_matching(inst.caps, &mind);
         let mut seen = std::collections::HashSet::new();
         let centers: Vec<Colored<M::Point>> = matching
             .assigned
             .iter()
             .enumerate()
-            .filter_map(|(h, a)| a.map(|c| mind[h][c].1))
+            .filter_map(|(h, a)| a.map(|c| witness[h * ncolors + c]))
             .filter(|&w| w != usize::MAX && seen.insert(w))
             .map(|w| inst.points[w].clone())
             .collect();
@@ -376,6 +372,71 @@ mod tests {
     use super::*;
     use crate::testutil::pts1d;
     use fairsw_metric::Euclidean;
+    use proptest::prelude::*;
+
+    /// The stage-2 matching as it was computed before the threshold
+    /// matcher: a binary search over the sorted finite distances with a
+    /// fresh adjacency and matching per probe.
+    fn binary_search_head_matching(caps: &[usize], mind: &[f64]) -> CapacitatedMatching {
+        let ncolors = caps.len();
+        let mut taus: Vec<f64> = mind.iter().copied().filter(|d| d.is_finite()).collect();
+        taus.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        taus.dedup();
+        let matching_at = |tau: f64| {
+            let adj: Vec<Vec<usize>> = mind
+                .chunks(ncolors)
+                .map(|row| (0..ncolors).filter(|&c| row[c] <= tau).collect())
+                .collect();
+            max_capacitated_matching(caps, &adj)
+        };
+        let assignment = if taus.is_empty() {
+            None
+        } else if matching_at(*taus.last().expect("non-empty")).is_left_perfect() {
+            let (mut lo, mut hi) = (0usize, taus.len() - 1);
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                if matching_at(taus[mid]).is_left_perfect() {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            Some(matching_at(taus[lo]))
+        } else {
+            None
+        };
+        assignment.unwrap_or_else(|| matching_at(taus.last().copied().unwrap_or(0.0)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn head_matching_equals_the_binary_search(
+            caps in proptest::collection::vec(1usize..4, 1..6),
+            rows in proptest::collection::vec(
+                proptest::collection::vec((0u8..9, 0.0..10.0f64), 5), 1..12),
+        ) {
+            // Distances from a small grid (ties), uniform values, and the
+            // `+∞` of a color with no inlier point; NaN from non-finite
+            // coordinates.
+            let nc = caps.len();
+            let mind: Vec<f64> = rows
+                .iter()
+                .flat_map(|row| row[..nc].iter().map(|&(sel, x)| match sel {
+                    0..=3 => f64::from(sel),
+                    4..=5 => x,
+                    6..=7 => f64::INFINITY,
+                    _ => f64::NAN,
+                }))
+                .collect();
+            prop_assert_eq!(
+                head_matching(&caps, &mind),
+                binary_search_head_matching(&caps, &mind),
+                "caps {:?}, mind {:?}", caps, mind
+            );
+        }
+    }
 
     #[test]
     fn robust_kcenter_ignores_planted_outliers() {
